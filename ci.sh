@@ -16,7 +16,10 @@ cargo fmt --check
 # Warnings are errors in CI: the crash-recovery plane threads state through
 # many layers, and an unused field or import is usually a wiring mistake.
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
-cargo test -q --offline --workspace
+# An explicit thread count, so tests that share a path or a process-global
+# race under libtest's parallelism even on a 1-core host (where the default
+# would run them one at a time and hide the race).
+cargo test -q --offline --workspace -- --test-threads=8
 cargo bench -q --offline -p bench --no-run
 
 # bench-smoke: exercise the analyzer old-vs-new harness end to end in its
@@ -30,9 +33,9 @@ cargo run --release --offline -p bench --bin bench_analyzer -- --short
 
 # Codec property suite: seeded adversarial column shapes (random, constant,
 # runs, ramps, width-boundary extremes) round-trip bit-exactly through the
-# delta/RLE/raw codec, the recycled-buffer decoder, hex transport, sealed
-# chunks, and chunked traces at every chunk size; corrupt buffers surface
-# typed errors instead of decoding.
+# delta/RLE/raw codec, the recycled-buffer decoder, sealed chunks (and their
+# reload from a spill log), and chunked traces at every chunk size; corrupt
+# buffers surface typed errors instead of decoding.
 cargo test --release --offline --test codec_roundtrip
 
 # Streaming-vs-fused suite: the bounded-memory streaming analyzer is
@@ -70,11 +73,6 @@ cargo test --release --offline --test fault_sweep
 # report, and supervised sweeps isolating a panicking scenario.
 cargo test --release --offline --test crash_recovery
 
-# Trace-salvage suite: truncated and corrupted row-group captures recover
-# their longest consistent prefix, the fused and multipass analyzers agree
-# on salvaged columns, and the YAML completeness annotation appears.
-cargo test --release --offline --test trace_salvage
-
 # fleet-sweep smoke: the multi-tenant datacenter mode end to end in short
 # mode (64 jobs). Regenerates BENCH_fleet.json and fails (inside the
 # binary) if the rendered fleet report diverges from the sequential driver
@@ -96,9 +94,8 @@ cargo test --release --offline --test fleet_resilience
 
 # Spill identity suite: spill-capture -> recover -> off-disk streaming
 # analysis is bit-identical to the in-memory fused profile on all seven
-# exemplars, clean and faulted, at 1/2/8 workers and two chunk sizes; a
-# v3 log loads through every v1/v2 persistence entry point; capture and
-# analysis stay under the chunk-ring resident bound.
+# exemplars, clean and faulted, at 1/2/8 workers and two chunk sizes; capture
+# and analysis stay under the chunk-ring resident bound.
 cargo test --release --offline --test spill_identity
 
 # Spill torture suite: every injected fault class (torn final write,
@@ -106,14 +103,16 @@ cargo test --release --offline --test spill_identity
 # target chunks recovers the longest committed prefix with a typed
 # diagnostic — never a panic — and analyzing the recovered prefix off
 # disk equals in-memory streaming over the same records at 1/2/8
-# workers. ENOSPC leaves no temp-file litter.
+# workers. ENOSPC leaves no temp-file litter. A log cut mid-frame salvages
+# a prefix whose YAML carries the trace_completeness annotation, and whole
+# traces (a crashed run's included) round-trip through a log losslessly.
 cargo test --release --offline --test spill_torture
 
 # Persistence corruption property suite: seeded random truncations and
-# bit flips over all three trace generations (v1 row-group JSON, v2
-# chunked JSON, v3 binary spill log) never panic any loader — typed
-# errors or honest-prefix salvage only — and a checksum-fixed meta
-# mutation is caught by deep verification as codec-class damage.
+# bit flips of the v3 spill log (the only on-disk trace format) never panic
+# any loader — typed errors or honest-prefix salvage only; a checksum-fixed
+# meta mutation is caught by deep verification as codec-class damage; and
+# a log rewritten after open is a typed error on rescan, never a panic.
 cargo test --release --offline --test persist_corruption
 
 # fleet-sweep spill smoke: the short fleet with every per-job trace

@@ -241,7 +241,8 @@ mod tests {
             }
             other => panic!("missing dir must be InvalidSpillDir, got {other:?}"),
         }
-        let file = std::env::temp_dir().join("vani-spill-not-a-dir.txt");
+        let file =
+            std::env::temp_dir().join(format!("vani-spill-not-a-dir-{}.txt", std::process::id()));
         std::fs::write(&file, b"x").expect("write probe file");
         match validate_spill_dir(file.to_str().expect("utf8 temp path")) {
             Err(FleetError::InvalidSpillDir { detail, .. }) => {
@@ -254,7 +255,7 @@ mod tests {
 
     #[test]
     fn spill_dir_validation_accepts_a_writable_directory() {
-        let dir = std::env::temp_dir().join("vani-spill-ok");
+        let dir = std::env::temp_dir().join(format!("vani-spill-ok-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let ok = validate_spill_dir(dir.to_str().expect("utf8 temp path"))
             .expect("writable dir validates");

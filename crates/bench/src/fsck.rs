@@ -85,7 +85,8 @@ mod tests {
 
     #[test]
     fn fsck_on_a_non_spill_file_is_a_typed_error() {
-        let path = std::env::temp_dir().join("vani-fsck-not-a-log.json");
+        let path =
+            std::env::temp_dir().join(format!("vani-fsck-not-a-log-{}.json", std::process::id()));
         std::fs::write(&path, b"{\"not\": \"a spill log\"}").expect("write probe");
         match run_fsck(path.to_str().expect("utf8 temp path")) {
             Err(SpillError::NotSpill { .. }) => {}
@@ -117,7 +118,8 @@ mod tests {
             );
         }
         let c = ColumnarTrace::from_tracer(&t);
-        let path = std::env::temp_dir().join("vani-fsck-clean.vsp3");
+        let path =
+            std::env::temp_dir().join(format!("vani-fsck-clean-{}.vsp3", std::process::id()));
         recorder_sim::spill::spill_columnar(&c, 64, &path, SpillFaultPlan::none())
             .expect("clean spill");
         let text = run_fsck(path.to_str().expect("utf8 temp path")).expect("fsck clean log");

@@ -372,7 +372,7 @@ impl TraceProfile {
             buf.clear_rows();
             chunk
                 .decode_into(&mut buf, false)
-                .expect("sealed chunk must decode (checksummed on the persisted path)");
+                .expect("sealed chunk must decode (a spilled chunk was deep-verified at open and is checksum-pinned on rescan)");
             charge.resync(columnar_capacity_bytes(&buf));
 
             let mut shard = par::par_fold_shards_sized(

@@ -111,7 +111,8 @@ impl Drop for GaugeCharge {
 }
 
 /// The ten per-record columns in on-disk order, each with its native width
-/// in bytes. Shared with the version-2 row-group persistence format.
+/// in bytes. The spill log (the on-disk trace format) frames them in this
+/// order.
 pub const COLUMN_WIDTHS: [(&str, u8); 10] = [
     ("rank", 4),
     ("node", 4),
@@ -298,7 +299,7 @@ impl CompressedChunk {
     /// native-width vector — no `u64` staging pass. With `decode_node`
     /// false the `node` column is skipped — nothing in the analyzer reads
     /// it, so the streaming path saves a tenth of the decode work
-    /// (`out.node` is left empty; don't `validate` such a buffer).
+    /// (`out.node` is left empty, shorter than the other columns).
     pub fn decode_into(
         &self,
         out: &mut ColumnarTrace,
@@ -356,7 +357,7 @@ impl CompressedChunk {
     }
 
     /// The encoded bytes of column `idx` (in [`COLUMN_WIDTHS`] order) —
-    /// the persistence layer checksums and hex-encodes these verbatim.
+    /// the spill writer frames and checksums these verbatim.
     pub fn column(&self, idx: usize) -> &[u8] {
         &self.cols[idx]
     }
@@ -367,32 +368,6 @@ impl CompressedChunk {
     /// persisted meta against a recompute.
     pub(crate) fn from_parts(rows: usize, meta: ChunkMeta, cols: [Vec<u8>; 10]) -> CompressedChunk {
         CompressedChunk { rows, meta, cols }
-    }
-
-    /// Rebuild a chunk from its ten encoded columns (the persistence
-    /// loader's inverse of [`column`](Self::column)). The meta is recovered
-    /// by decoding once, so a chunk loaded from disk behaves exactly like
-    /// one sealed live.
-    pub fn from_encoded(cols: [Vec<u8>; 10], rows: usize) -> Result<CompressedChunk, CodecError> {
-        let mut chunk = CompressedChunk {
-            rows,
-            meta: ChunkMeta::default(),
-            cols,
-        };
-        let mut buf = ColumnarTrace::with_capacity(rows);
-        chunk.decode_into(&mut buf, false)?;
-        let mut meta = ChunkMeta::default();
-        for i in 0..rows {
-            meta.absorb(
-                buf.rank[i],
-                buf.app[i],
-                buf.layer[i],
-                buf.op[i],
-                buf.file[i],
-            );
-        }
-        chunk.meta = meta;
-        Ok(chunk)
     }
 }
 
@@ -553,16 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn from_encoded_rebuilds_meta() {
-        let c = synthetic(500);
-        let ct = ChunkedTrace::from_columnar(&c, 512);
-        let ch = &ct.chunks[0];
-        let cols: [Vec<u8>; 10] = std::array::from_fn(|i| ch.column(i).to_vec());
-        let rebuilt = CompressedChunk::from_encoded(cols, ch.rows).expect("valid columns");
-        assert_eq!(&rebuilt, ch);
-    }
-
-    #[test]
     fn corrupt_column_fails_decode() {
         let c = synthetic(100);
         let ct = ChunkedTrace::from_columnar(&c, 128);
@@ -570,7 +535,10 @@ mod tests {
         // Flip the op column's tag to an invalid scheme.
         let mut cols: [Vec<u8>; 10] = std::array::from_fn(|i| ch.column(i).to_vec());
         cols[4][0] = 99;
-        assert!(CompressedChunk::from_encoded(cols, ch.rows).is_err());
+        let bad = CompressedChunk::from_parts(ch.rows, ch.meta.clone(), cols);
+        assert!(bad
+            .decode_into(&mut ColumnarTrace::default(), false)
+            .is_err());
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! so a corrupt byte can't smuggle an oversized value past the checksum
 //! into a narrowing cast.
 //!
-//! The byte layout is part of the version-2 row-group persistence format
-//! (see `persist.rs`) — changes must bump that version.
+//! The byte layout is part of the on-disk trace format (the version-3
+//! spill log, see `spill.rs`) — changes must bump that version.
 //!
 //! Layout per tag:
 //! - `0` RAW:   `n` little-endian values of `width` bytes each.
@@ -351,39 +351,6 @@ pub fn decode_column(bytes: &[u8], n: usize, width: u8) -> Result<Vec<u64>, Code
     Ok(out)
 }
 
-/// Lowercase hex rendering for embedding encoded columns in the JSON
-/// row-group persistence format.
-pub fn to_hex(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        s.push(DIGITS[(b >> 4) as usize] as char);
-        s.push(DIGITS[(b & 0xf) as usize] as char);
-    }
-    s
-}
-
-/// Inverse of [`to_hex`]; `None` on odd length or non-hex digits.
-pub fn from_hex(s: &str) -> Option<Vec<u8>> {
-    let s = s.as_bytes();
-    if s.len() % 2 != 0 {
-        return None;
-    }
-    let nibble = |c: u8| -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            b'A'..=b'F' => Some(c - b'A' + 10),
-            _ => None,
-        }
-    };
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in s.chunks_exact(2) {
-        out.push(nibble(pair[0])? << 4 | nibble(pair[1])?);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,17 +503,6 @@ mod tests {
         ] {
             assert_eq!(unzigzag(zigzag(v)), v);
         }
-    }
-
-    #[test]
-    fn hex_round_trips() {
-        let bytes: Vec<u8> = (0..=255).collect();
-        let hex = to_hex(&bytes);
-        assert_eq!(from_hex(&hex).unwrap(), bytes);
-        assert_eq!(from_hex("abc"), None);
-        assert_eq!(from_hex("zz"), None);
-        assert_eq!(from_hex("").unwrap(), Vec::<u8>::new());
-        assert_eq!(from_hex("DEADbeef").unwrap(), vec![0xde, 0xad, 0xbe, 0xef]);
     }
 
     #[test]

@@ -21,11 +21,15 @@
 //!   compressed as the run emits records, so peak uncompressed trace bytes
 //!   stay bounded regardless of trace length (tracked by a process-wide
 //!   peak gauge),
-//! * [`persist`] — JSON save/load of whole traces,
-//! * [`spill`] — the crash-consistent on-disk segment log (persistence
-//!   v3): sealed chunks stream to an append-only, checksummed, fsync-
-//!   pointed file so traces larger than RAM survive capture, with a
-//!   seeded fault-injection plan and an fsck recovery pass,
+//! * [`spill`] — the on-disk trace format (version 3), and the only trace
+//!   writer and loader: a crash-consistent segment log that sealed chunks
+//!   stream into (append-only, checksummed, fsync-pointed), so traces
+//!   larger than RAM survive capture, with a seeded fault-injection plan
+//!   and an fsck recovery pass. Whole traces save with
+//!   [`spill::spill_columnar`] and load with [`spill::load_spill`] (or
+//!   [`spill::load_spill_salvaged`] for the longest committed prefix),
+//!   separating capture from analysis like the paper's two-phase
+//!   Recorder-log → analyzer pipeline,
 //! * [`darshan`] — a Darshan-style aggregate-counter profiler, implemented
 //!   as a fold over the full trace to demonstrate (as the paper argues in
 //!   §III-C) which analyses aggregation destroys.
@@ -34,7 +38,6 @@ pub mod chunk;
 pub mod codec;
 pub mod columnar;
 pub mod darshan;
-pub mod persist;
 pub mod record;
 pub mod spill;
 pub mod tracer;
@@ -44,6 +47,6 @@ pub use columnar::ColumnarTrace;
 pub use record::{AppId, FileId, Layer, OpKind, TraceRecord};
 pub use spill::{
     ChunkSource, FsckReport, SpillError, SpillFaultKind, SpillFaultPlan, SpillSource, SpillSummary,
-    SpillWriter,
+    SpillWriter, TraceCompleteness,
 };
 pub use tracer::{AdaptiveSampler, Tracer};

@@ -1,7 +1,6 @@
 //! The trace schema: one record per intercepted call.
 
 use sim_core::{Dur, SimTime};
-use vani_rt::{FromJson, Json, JsonError, ToJson};
 
 /// Interned file identifier; the tracer owns the id → path table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -33,7 +32,7 @@ pub enum Layer {
 impl Layer {
     /// Dense integer code used by the columnar codec and the analyzer's
     /// per-layer presence tables. The numbering is part of the on-disk
-    /// row-group format (version 2+): never reorder it.
+    /// trace format (the spill log): never reorder it.
     pub fn code(&self) -> u8 {
         match self {
             Layer::App => 0,
@@ -125,7 +124,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Dense integer code (declaration order) used by the columnar codec.
-    /// Part of the on-disk row-group format (version 2+): append-only.
+    /// Part of the on-disk trace format (the spill log): append-only.
     pub fn code(&self) -> u8 {
         match self {
             OpKind::Read => 0,
@@ -251,152 +250,6 @@ pub struct TraceRecord {
     pub offset: u64,
     /// Bytes moved, for data ops (0 for metadata).
     pub bytes: u64,
-}
-
-impl ToJson for FileId {
-    fn to_json(&self) -> Json {
-        self.0.to_json()
-    }
-}
-
-impl FromJson for FileId {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        u32::from_json(j).map(FileId)
-    }
-}
-
-impl ToJson for AppId {
-    fn to_json(&self) -> Json {
-        self.0.to_json()
-    }
-}
-
-impl FromJson for AppId {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        u16::from_json(j).map(AppId)
-    }
-}
-
-impl ToJson for Layer {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                Layer::App => "App",
-                Layer::HighLevel => "HighLevel",
-                Layer::MpiIo => "MpiIo",
-                Layer::Stdio => "Stdio",
-                Layer::Posix => "Posix",
-                Layer::Middleware => "Middleware",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for Layer {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match j.as_str()? {
-            "App" => Ok(Layer::App),
-            "HighLevel" => Ok(Layer::HighLevel),
-            "MpiIo" => Ok(Layer::MpiIo),
-            "Stdio" => Ok(Layer::Stdio),
-            "Posix" => Ok(Layer::Posix),
-            "Middleware" => Ok(Layer::Middleware),
-            other => Err(JsonError::shape(format!("unknown Layer variant `{other}`"))),
-        }
-    }
-}
-
-impl ToJson for OpKind {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                OpKind::Read => "Read",
-                OpKind::Write => "Write",
-                OpKind::Open => "Open",
-                OpKind::Create => "Create",
-                OpKind::Close => "Close",
-                OpKind::Stat => "Stat",
-                OpKind::Seek => "Seek",
-                OpKind::Sync => "Sync",
-                OpKind::Unlink => "Unlink",
-                OpKind::Mkdir => "Mkdir",
-                OpKind::Compute => "Compute",
-                OpKind::GpuCompute => "GpuCompute",
-                OpKind::MpiColl => "MpiColl",
-                OpKind::MpiP2p => "MpiP2p",
-                OpKind::Fault => "Fault",
-                OpKind::Retry => "Retry",
-                OpKind::Checkpoint => "Checkpoint",
-                OpKind::Crash => "Crash",
-                OpKind::RestartEpoch => "RestartEpoch",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for OpKind {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match j.as_str()? {
-            "Read" => Ok(OpKind::Read),
-            "Write" => Ok(OpKind::Write),
-            "Open" => Ok(OpKind::Open),
-            "Create" => Ok(OpKind::Create),
-            "Close" => Ok(OpKind::Close),
-            "Stat" => Ok(OpKind::Stat),
-            "Seek" => Ok(OpKind::Seek),
-            "Sync" => Ok(OpKind::Sync),
-            "Unlink" => Ok(OpKind::Unlink),
-            "Mkdir" => Ok(OpKind::Mkdir),
-            "Compute" => Ok(OpKind::Compute),
-            "GpuCompute" => Ok(OpKind::GpuCompute),
-            "MpiColl" => Ok(OpKind::MpiColl),
-            "MpiP2p" => Ok(OpKind::MpiP2p),
-            "Fault" => Ok(OpKind::Fault),
-            "Retry" => Ok(OpKind::Retry),
-            "Checkpoint" => Ok(OpKind::Checkpoint),
-            "Crash" => Ok(OpKind::Crash),
-            "RestartEpoch" => Ok(OpKind::RestartEpoch),
-            other => Err(JsonError::shape(format!(
-                "unknown OpKind variant `{other}`"
-            ))),
-        }
-    }
-}
-
-impl ToJson for TraceRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("rank", self.rank.to_json()),
-            ("node", self.node.to_json()),
-            ("app", self.app.to_json()),
-            ("layer", self.layer.to_json()),
-            ("op", self.op.to_json()),
-            ("start", self.start.to_json()),
-            ("end", self.end.to_json()),
-            ("file", self.file.to_json()),
-            ("offset", self.offset.to_json()),
-            ("bytes", self.bytes.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TraceRecord {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(TraceRecord {
-            rank: j.decode_field("rank")?,
-            node: j.decode_field("node")?,
-            app: j.decode_field("app")?,
-            layer: j.decode_field("layer")?,
-            op: j.decode_field("op")?,
-            start: j.decode_field("start")?,
-            end: j.decode_field("end")?,
-            file: j.decode_field("file")?,
-            offset: j.decode_field("offset")?,
-            bytes: j.decode_field("bytes")?,
-        })
-    }
 }
 
 impl TraceRecord {

@@ -3,7 +3,7 @@
 //! ring, so traces larger than RAM survive on disk and the streaming
 //! analyzer folds chunks straight off the file.
 //!
-//! ## On-disk format (persistence v3)
+//! ## On-disk format (version 3, the only trace format)
 //!
 //! A spill file opens with an 19-byte preamble — the magic
 //! [`SPILL_MAGIC`] (`vanispill3\n`) followed by `chunk_rows` as a `u64`
@@ -61,11 +61,8 @@ use crate::chunk::{
     columnar_capacity_bytes, BitWords, ChunkMeta, ChunkedTrace, CompressedChunk, GaugeCharge,
 };
 use crate::columnar::ColumnarTrace;
-use crate::persist::TraceCompleteness;
 
-/// First bytes of every version-3 spill file; the loaders in
-/// [`crate::persist`] sniff this to route binary spill logs away from the
-/// UTF-8 JSON paths of v1/v2.
+/// First bytes of every version-3 spill file.
 pub const SPILL_MAGIC: &[u8; 11] = b"vanispill3\n";
 
 const FRAME_CHUNK: u8 = 1;
@@ -146,6 +143,15 @@ pub enum SpillError {
         /// Chunks covered by the last valid commit.
         committed: u64,
     },
+    /// A chunk frame no longer matches the offset and checksum recorded
+    /// when the log was opened: the file was rewritten underneath an open
+    /// [`SpillSource`].
+    ChangedSinceOpen {
+        /// Frame index from the front of the log.
+        frame: u64,
+        /// Byte offset of the frame.
+        offset: u64,
+    },
     /// Strict open: the log has no footer (writer never finished).
     Unsealed {
         /// Chunks covered by the last valid commit.
@@ -196,6 +202,12 @@ impl fmt::Display for SpillError {
                 write!(
                     f,
                     "strict open: {chunks} chunk(s) present but only {committed} committed"
+                )
+            }
+            SpillError::ChangedSinceOpen { frame, offset } => {
+                write!(
+                    f,
+                    "frame {frame} at byte {offset}: chunk changed since the log was opened"
                 )
             }
             SpillError::Unsealed { committed_chunks } => {
@@ -828,6 +840,36 @@ pub struct QuarantinedSegment {
     pub reason: QuarantineReason,
 }
 
+/// How much of a spill log survived recovery: records and chunks the log
+/// promised versus the committed prefix actually loaded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceCompleteness {
+    /// Records the log promised.
+    pub expected_records: u64,
+    /// Records actually loaded.
+    pub loaded_records: u64,
+    /// Chunks the log promised.
+    pub expected_groups: u64,
+    /// Chunks that verified and loaded.
+    pub loaded_groups: u64,
+}
+
+impl TraceCompleteness {
+    /// Loaded fraction in [0, 1]; an empty-but-complete trace is 1.
+    pub fn fraction(&self) -> f64 {
+        if self.expected_records == 0 {
+            1.0
+        } else {
+            self.loaded_records as f64 / self.expected_records as f64
+        }
+    }
+
+    /// Whether every promised record loaded.
+    pub fn is_complete(&self) -> bool {
+        self.loaded_records == self.expected_records && self.loaded_groups == self.expected_groups
+    }
+}
+
 /// What [`fsck`] recovered from a spill log.
 #[derive(Debug, Clone)]
 pub struct FsckReport {
@@ -862,8 +904,9 @@ struct Walk {
     committed_records: u64,
     committed_files: u64,
     committed_apps: u64,
-    /// Per observed chunk frame: (frame index, byte offset, seal meta).
-    seen_chunks: Vec<(u64, u64, ChunkMeta)>,
+    /// Per observed chunk frame: (frame index, byte offset, payload
+    /// checksum, seal meta).
+    seen_chunks: Vec<(u64, u64, u64, ChunkMeta)>,
     seen_records: u64,
     files: Vec<String>,
     apps: Vec<String>,
@@ -942,7 +985,8 @@ fn walk(path: &Path) -> Result<Walk, SpillError> {
         let mut sum = [0u8; 8];
         file.read_exact(&mut sum)?;
         pos += FRAME_HEAD + payload_len + FRAME_SUM;
-        if fnv1a(&payload) != u64::from_le_bytes(sum) {
+        let sum = u64::from_le_bytes(sum);
+        if fnv1a(&payload) != sum {
             quarantine(&mut w, frame_idx, at, QuarantineReason::BadChecksum);
             break;
         }
@@ -979,7 +1023,7 @@ fn walk(path: &Path) -> Result<Walk, SpillError> {
                     break;
                 }
                 w.seen_records += rows as u64;
-                w.seen_chunks.push((frame_idx, at, meta));
+                w.seen_chunks.push((frame_idx, at, sum, meta));
             }
             FRAME_INTERN => match parse_intern_payload(&payload) {
                 Ok((mut files, mut apps)) => {
@@ -1037,7 +1081,7 @@ fn walk(path: &Path) -> Result<Walk, SpillError> {
         frame_idx += 1;
     }
     // Readable chunks past the adopted commit point are not recoverable.
-    for &(frame, offset, _) in w.seen_chunks.iter().skip(w.committed_chunks as usize) {
+    for &(frame, offset, _, _) in w.seen_chunks.iter().skip(w.committed_chunks as usize) {
         w.quarantined.push(QuarantinedSegment {
             frame,
             offset,
@@ -1104,6 +1148,10 @@ pub struct SpillSource {
     chunk_rows: usize,
     committed_chunks: u64,
     committed_records: u64,
+    /// (byte offset, payload checksum) of every committed chunk frame,
+    /// pinned at open: a rescan that meets anything else is reading a
+    /// file that changed underneath the source.
+    chunk_frames: Vec<(u64, u64)>,
     file_paths: Vec<String>,
     app_names: Vec<String>,
     merged: ChunkMeta,
@@ -1155,16 +1203,19 @@ impl SpillSource {
     /// file cannot be opened or is not a spill log.
     pub fn open_salvaged(path: &Path) -> Result<SpillSource, SpillError> {
         let w = walk(path)?;
+        let committed = &w.seen_chunks[..w.committed_chunks as usize];
         let mut merged = ChunkMeta::default();
-        for (_, _, meta) in w.seen_chunks.iter().take(w.committed_chunks as usize) {
+        for (_, _, _, meta) in committed {
             merged.merge(meta);
         }
+        let chunk_frames = committed.iter().map(|&(_, at, sum, _)| (at, sum)).collect();
         let report = w.report();
         Ok(SpillSource {
             path: path.to_path_buf(),
             chunk_rows: w.chunk_rows,
             committed_chunks: w.committed_chunks,
             committed_records: w.committed_records,
+            chunk_frames,
             file_paths: w.files,
             app_names: w.apps,
             merged,
@@ -1193,7 +1244,8 @@ impl SpillSource {
     }
 
     /// Materialize the committed prefix as an in-memory [`ChunkedTrace`]
-    /// (the persist-compat path; defeats the memory bound by design).
+    /// (the whole-trace load behind [`load_spill`]; defeats the memory
+    /// bound by design).
     pub fn to_chunked(&self) -> Result<ChunkedTrace, SpillError> {
         let mut chunks = Vec::with_capacity(self.committed_chunks as usize);
         self.scan_chunks(&mut |ch: &CompressedChunk| chunks.push(ch.clone()))?;
@@ -1275,8 +1327,10 @@ impl ChunkSource for SpillSource {
     }
 
     /// Re-read the file one frame at a time, handing each committed chunk
-    /// to `f`. Frames were verified at open; checksums are re-checked
-    /// cheaply in case the file changed underneath us.
+    /// to `f`. Frames were deep-verified at open; each chunk frame must
+    /// still sit at its open-time offset with its open-time checksum, so a
+    /// log rewritten after open is a typed error before any of its bytes
+    /// reach `f`.
     fn scan_chunks(&self, f: &mut dyn FnMut(&CompressedChunk)) -> Result<(), SpillError> {
         let mut file = File::open(&self.path)?;
         let file_len = file.metadata()?.len();
@@ -1311,13 +1365,20 @@ impl ChunkSource for SpillSource {
             let mut sum = [0u8; 8];
             file.read_exact(&mut sum)?;
             pos += FRAME_HEAD + payload_len + FRAME_SUM;
-            if fnv1a(&payload) != u64::from_le_bytes(sum) {
+            let sum = u64::from_le_bytes(sum);
+            if fnv1a(&payload) != sum {
                 return Err(SpillError::BadChecksum {
                     frame: frame_idx,
                     offset: at,
                 });
             }
             if kind == FRAME_CHUNK {
+                if self.chunk_frames.get(handed as usize) != Some(&(at, sum)) {
+                    return Err(SpillError::ChangedSinceOpen {
+                        frame: frame_idx,
+                        offset: at,
+                    });
+                }
                 let (rows, meta, cols) =
                     parse_chunk_payload(&payload, self.chunk_rows).map_err(|detail| {
                         SpillError::Malformed {

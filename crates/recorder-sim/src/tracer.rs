@@ -21,7 +21,6 @@ use crate::spill::{SpillError, SpillFaultPlan, SpillSummary, SpillWriter};
 use sim_core::{Dur, SimTime};
 use std::collections::HashMap;
 use std::path::Path;
-use vani_rt::{FromJson, Json, JsonError, ToJson};
 
 /// Records per adaptive-sampler feedback window.
 const SAMPLER_WINDOW: u64 = 1024;
@@ -173,17 +172,29 @@ impl Tracer {
         }
     }
 
-    /// Rebuild a tracer around already-captured columns — the loaders and
-    /// the trace-salvage path turn a (possibly partial) [`ColumnarTrace`]
-    /// back into a live capture sink this way.
+    /// Rebuild a tracer around already-captured columns — a spill log
+    /// reloaded from disk (or its salvaged prefix) turns back into a live
+    /// capture sink this way, with its intern maps rebuilt.
     pub fn from_columnar(cols: ColumnarTrace) -> Self {
-        let mut t = Tracer {
+        let file_ids = cols
+            .file_paths
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.clone(), FileId(i as u32)))
+            .collect();
+        let app_ids = cols
+            .app_names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.clone(), AppId(i as u16)))
+            .collect();
+        Tracer {
             cols,
             enabled: true,
+            file_ids,
+            app_ids,
             ..Default::default()
-        };
-        t.rebuild_index();
-        t
+        }
     }
 
     /// New enabled tracer with room for `n` records pre-allocated.
@@ -480,51 +491,6 @@ impl Tracer {
     /// Whether nothing has been captured.
     pub fn is_empty(&self) -> bool {
         self.cols.is_empty()
-    }
-
-    /// Rebuild the intern maps after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.file_ids = self
-            .cols
-            .file_paths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), FileId(i as u32)))
-            .collect();
-        self.app_ids = self
-            .cols
-            .app_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), AppId(i as u16)))
-            .collect();
-    }
-}
-
-// Serialized in the columnar layout (the capture format *is* the analysis
-// format). The intern maps (`file_ids`, `app_ids`) are derived state and are
-// not persisted; [`Tracer::rebuild_index`] reconstructs them after a load.
-impl ToJson for Tracer {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("columns", self.cols.to_json()),
-            ("per_record_overhead", self.per_record_overhead.to_json()),
-            ("enabled", self.enabled.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Tracer {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(Tracer {
-            cols: j.decode_field("columns")?,
-            file_ids: HashMap::new(),
-            app_ids: HashMap::new(),
-            per_record_overhead: j.decode_field("per_record_overhead")?,
-            enabled: j.decode_field("enabled")?,
-            chunked: None,
-            sampler: None,
-        })
     }
 }
 
@@ -835,14 +801,12 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_index_restores_interning() {
+    fn from_columnar_restores_interning() {
         let mut t = Tracer::new();
         t.file_id("/x");
         t.file_id("/y");
         t.app_id("app");
-        let json = vani_rt::json::to_string(&t);
-        let mut back: Tracer = vani_rt::json::from_str(&json).unwrap();
-        back.rebuild_index();
+        let mut back = Tracer::from_columnar(t.columnar().clone());
         assert_eq!(back.file_id("/x"), FileId(0));
         assert_eq!(back.file_id("/y"), FileId(1));
         assert_eq!(back.file_id("/z"), FileId(2));

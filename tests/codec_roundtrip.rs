@@ -1,17 +1,19 @@
 //! Integration: seeded property tests for the column codec (delta + RLE +
 //! raw fallback) and the compressed-chunk layer built on top of it.
 //!
-//! The codec is the foundation of chunked capture, the version-2 row-group
-//! format, and the streaming analyzer: a column that fails to round-trip
+//! The codec is the foundation of chunked capture, the on-disk spill log,
+//! and the streaming analyzer: a column that fails to round-trip
 //! bit-exactly would silently corrupt every profile downstream, so these
 //! tests hammer it with adversarial shapes (random, constant, runs,
 //! monotone ramps, width-boundary values) across many seeds and widths.
 
+mod support;
+
+use support::Scratch;
 use vani_suite::recorder::chunk::{ChunkedTrace, CompressedChunk, COLUMN_WIDTHS};
-use vani_suite::recorder::codec::{
-    decode_column, decode_column_into, encode_column, from_hex, to_hex,
-};
+use vani_suite::recorder::codec::{decode_column, decode_column_into, encode_column};
 use vani_suite::recorder::record::{AppId, FileId, Layer, OpKind};
+use vani_suite::recorder::spill::{load_spill, spill_columnar, SpillFaultPlan};
 use vani_suite::recorder::ColumnarTrace;
 use vani_suite::sim::SimTime;
 
@@ -110,9 +112,6 @@ fn every_column_shape_round_trips_across_seeds_widths_and_lengths() {
                     scratch.clear();
                     decode_column_into(&enc, n, width, &mut scratch).expect("decode_into");
                     assert_eq!(scratch, vals);
-
-                    // Hex transport (persistence) is lossless.
-                    assert_eq!(from_hex(&to_hex(&enc)).as_deref(), Some(&enc[..]));
                 }
             }
         }
@@ -192,10 +191,12 @@ fn synthetic_trace(n: usize, seed: u64) -> ColumnarTrace {
     c
 }
 
-/// A sealed chunk round-trips all ten columns and its meta survives the
-/// encode → `from_encoded` loop the loader uses, at several sizes.
+/// A sealed chunk round-trips all ten columns, and the spill log's
+/// loader — which deep-verifies every chunk by decoding it and
+/// recomputing its meta — rebuilds an equal chunk, at several sizes.
 #[test]
 fn sealed_chunks_round_trip_and_revalidate() {
+    let dir = Scratch::new("sealed_chunks_round_trip_and_revalidate");
     for &n in &[1usize, 7, 256, 4096] {
         let c = synthetic_trace(n, 0xC0FFEE + n as u64);
         let mut scratch = Vec::new();
@@ -208,10 +209,11 @@ fn sealed_chunks_round_trip_and_revalidate() {
         chunk.decode_into(&mut out, true).expect("decode");
         assert_eq!(out, c, "n = {n}");
 
-        // The loader path: encoded columns alone rebuild an equal chunk.
-        let cols: [Vec<u8>; 10] = std::array::from_fn(|i| chunk.column(i).to_vec());
-        let rebuilt = CompressedChunk::from_encoded(cols, n).expect("from_encoded");
-        assert_eq!(rebuilt, chunk, "n = {n}");
+        // The loader path: the chunk spilled to disk comes back equal.
+        let path = dir.path(&format!("chunk-{n}.vsp3"));
+        spill_columnar(&c, n, &path, SpillFaultPlan::none()).expect("spill");
+        let loaded = load_spill(&path).expect("load");
+        assert_eq!(loaded.chunks, [chunk], "n = {n}");
     }
 }
 

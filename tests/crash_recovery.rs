@@ -11,9 +11,13 @@
 //! One `#[test]` on purpose: `rt::par::set_threads` is process-global, so
 //! the worker-count sweep must not interleave with itself.
 
+mod support;
+
 use sim_core::SimTime;
+use std::path::Path;
 use storage_sim::FaultPlan;
-use vani_suite::recorder::persist;
+use support::Scratch;
+use vani_suite::recorder::spill::{load_spill_salvaged, spill_columnar, SpillFaultPlan};
 use vani_suite::recorder::tracer::Tracer;
 use vani_suite::vani::analyzer::Analysis;
 use vani_suite::vani::crashsweep;
@@ -56,9 +60,9 @@ fn crashed_pair(driver: Driver, cm1_at: SimTime, cf_at: SimTime) -> String {
 
 /// Analyze the salvaged prefix of a deliberately truncated capture of a
 /// crashed CM1 run, rendered with its completeness annotation.
-fn salvaged_analysis(text: &str, cm1_at: SimTime) -> String {
-    let cut = &text[..text.len() * 2 / 3];
-    let (salvaged, tc) = persist::parse_rowgroups_salvaged(cut).unwrap();
+fn salvaged_analysis(cut_log: &Path, cm1_at: SimTime) -> String {
+    let (salvaged, tc) = load_spill_salvaged(cut_log).unwrap();
+    let salvaged = salvaged.to_columnar().unwrap();
     let mut p = wl::cm1::Cm1Params::scaled(CM1_SCALE);
     p.faults = FaultPlan::none().with_rank_crash(1, cm1_at);
     let mut run = wl::cm1::run_with(p, CM1_SCALE, SEED);
@@ -69,6 +73,7 @@ fn salvaged_analysis(text: &str, cm1_at: SimTime) -> String {
 
 #[test]
 fn crash_recovery_is_deterministic_and_supervised() {
+    let dir = Scratch::new("crash_recovery_is_deterministic_and_supervised");
     // Healthy baselines anchor the crash instants mid-run.
     let cm1_m = wl::cm1::run(CM1_SCALE, SEED).runtime();
     let cf_m = wl::cosmoflow::run(CF_SCALE, SEED).runtime();
@@ -85,15 +90,25 @@ fn crash_recovery_is_deterministic_and_supervised() {
     let sweep_ref = crashsweep::crash_sweep(CF_SCALE, 7, Driver::Sequential).render();
     assert!(sweep_ref.contains("time-to-solution"));
 
-    // A deliberately truncated capture of a crashed run, shared by every
-    // worker count below: the salvaged-prefix analysis must not depend on
-    // the analyzer's parallelism either.
-    let crashed_capture = {
+    // A deliberately truncated capture of a crashed run (its spill log
+    // cut at two thirds of its bytes), shared by every worker count below:
+    // the salvaged-prefix analysis must not depend on the analyzer's
+    // parallelism either.
+    let crashed_capture = dir.path("cm1-crashed-cut.vsp3");
+    {
         let mut p = wl::cm1::Cm1Params::scaled(CM1_SCALE);
         p.faults = FaultPlan::none().with_rank_crash(1, cm1_at);
         let run = wl::cm1::run_with(p, CM1_SCALE, SEED);
-        persist::render_rowgroups(run.world.tracer.columnar(), 64)
-    };
+        spill_columnar(
+            run.world.tracer.columnar(),
+            64,
+            &crashed_capture,
+            SpillFaultPlan::none(),
+        )
+        .unwrap();
+        let bytes = std::fs::read(&crashed_capture).unwrap();
+        std::fs::write(&crashed_capture, &bytes[..bytes.len() * 2 / 3]).unwrap();
+    }
     let salvage_ref = salvaged_analysis(&crashed_capture, cm1_at);
     assert!(salvage_ref.contains("trace_completeness"), "{salvage_ref}");
 

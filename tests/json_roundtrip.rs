@@ -1,24 +1,32 @@
-//! Integration: traces persisted with `vani_rt::json` survive the disk
-//! round-trip losslessly — a reloaded trace yields the same columnar
-//! analysis and the same rendered attribute tables as the original run.
+//! Integration: traces persisted to disk (a spill log written by
+//! `spill_columnar`, read back with `load_spill`) survive the round trip
+//! losslessly — a reloaded trace yields the same columnar analysis as the
+//! original run, and persistence is canonical.
+
+mod support;
 
 use std::fs;
-use vani_suite::recorder::columnar::ColumnarTrace;
-use vani_suite::recorder::persist;
-use vani_suite::vani::analyzer::Analysis;
-use vani_suite::vani::tables;
+use support::Scratch;
+use vani_suite::recorder::spill::{load_spill, spill_columnar, SpillFaultPlan};
+use vani_suite::recorder::{ColumnarTrace, Tracer, DEFAULT_CHUNK_ROWS};
 use vani_suite::workloads as wl;
+
+fn save(c: &ColumnarTrace, path: &std::path::Path) {
+    spill_columnar(c, DEFAULT_CHUNK_ROWS, path, SpillFaultPlan::none()).unwrap();
+}
+
+fn load(path: &std::path::Path) -> ColumnarTrace {
+    load_spill(path).unwrap().to_columnar().unwrap()
+}
 
 #[test]
 fn cm1_trace_round_trips_through_disk() {
+    let dir = Scratch::new("cm1_trace_round_trips_through_disk");
     let run = wl::cm1::run(0.01, 11);
-    let dir = std::env::temp_dir().join("vani_json_roundtrip");
-    fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cm1.trace.json");
+    let path = dir.path("cm1.vsp3");
 
-    persist::save_tracer(&run.world.tracer, &path).unwrap();
-    let reloaded = persist::load_tracer(&path).unwrap();
-    fs::remove_file(&path).unwrap();
+    save(run.world.tracer.columnar(), &path);
+    let mut reloaded = Tracer::from_columnar(load(&path));
 
     // Records and intern tables are preserved exactly.
     assert_eq!(reloaded.records(), run.world.tracer.records());
@@ -26,13 +34,12 @@ fn cm1_trace_round_trips_through_disk() {
     assert_eq!(reloaded.app_names(), run.world.tracer.app_names());
     // The rebuilt intern maps still resolve every path.
     for (i, p) in run.world.tracer.file_paths().iter().enumerate() {
-        let mut r = reloaded.clone();
-        assert_eq!(r.file_id(p).0 as usize, i);
+        assert_eq!(reloaded.file_id(p).0 as usize, i, "{p} resolves to its id");
     }
 
     // Columnar analysis over the reloaded trace is identical.
     let c0 = run.columnar();
-    let c1 = ColumnarTrace::from_tracer(&reloaded);
+    let c1 = reloaded.columnar();
     assert_eq!(c0.to_records(), c1.to_records());
     assert_eq!(c0.io_ops(), c1.io_ops());
     let sel0 = c0.data_ops(None);
@@ -45,108 +52,17 @@ fn cm1_trace_round_trips_through_disk() {
 }
 
 #[test]
-fn reloaded_trace_renders_identical_attribute_tables() {
-    // Two identical runs (the stack is deterministic for a fixed seed) ...
-    let run_a = wl::cm1::run(0.01, 11);
-    let mut run_b = wl::cm1::run(0.01, 11);
-
-    // ... but run_b analyzes a trace that went JSON → disk → back.
-    let dir = std::env::temp_dir().join("vani_json_roundtrip");
-    fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cm1.tables.trace.json");
-    persist::save_tracer(&run_a.world.tracer, &path).unwrap();
-    run_b.world.tracer = persist::load_tracer(&path).unwrap();
-    fs::remove_file(&path).unwrap();
-
-    let a = Analysis::from_run(&run_a);
-    let b = Analysis::from_run(&run_b);
-    let cols_a = [&a];
-    let cols_b = [&b];
-    for (name, ta, tb) in [
-        ("table1", tables::table1(&cols_a), tables::table1(&cols_b)),
-        (
-            "table10",
-            tables::table10(&cols_a),
-            tables::table10(&cols_b),
-        ),
-        (
-            "table11",
-            tables::table11(&cols_a),
-            tables::table11(&cols_b),
-        ),
-    ] {
-        assert_eq!(ta.render(), tb.render(), "{name} diverged after reload");
-    }
-}
-
-#[test]
-fn malformed_traces_fail_with_byte_offset_context() {
-    let dir = std::env::temp_dir().join("vani_json_roundtrip");
-    fs::create_dir_all(&dir).unwrap();
-
-    // A real trace, then sabotage it in every way a disk or a partial
-    // write can: truncation, garbage bytes, and wrong-but-valid JSON.
-    let run = wl::cm1::run(0.005, 3);
-    let path = dir.join("sabotage.trace.json");
-    persist::save_tracer(&run.world.tracer, &path).unwrap();
-    let good = fs::read_to_string(&path).unwrap();
-
-    let cases: [(&str, String); 4] = [
-        ("truncated", good[..good.len() / 2].to_string()),
-        ("garbage tail", format!("{good}garbage")),
-        ("corrupt byte", {
-            let mut s = good.clone().into_bytes();
-            let mid = s.len() / 2;
-            s[mid] = b'\\';
-            String::from_utf8_lossy(&s).into_owned()
-        }),
-        ("wrong shape", "[1, 2, 3]".to_string()),
-    ];
-    for (name, text) in cases {
-        fs::write(&path, &text).unwrap();
-        let err = persist::load_tracer(&path).expect_err(name);
-        let msg = err.to_string();
-        assert!(
-            msg.contains("byte"),
-            "{name}: the error must carry byte-offset context, got: {msg}"
-        );
-    }
-
-    // The columnar loader surfaces the same typed context.
-    let cpath = dir.join("sabotage.columnar.json");
-    let c = ColumnarTrace::from_tracer(&run.world.tracer);
-    persist::save_columnar(&c, &cpath).unwrap();
-    let cgood = fs::read_to_string(&cpath).unwrap();
-    fs::write(&cpath, &cgood[..cgood.len() - cgood.len() / 3]).unwrap();
-    let msg = persist::load_columnar(&cpath)
-        .expect_err("truncated columnar")
-        .to_string();
-    assert!(
-        msg.contains("byte"),
-        "columnar error must carry byte-offset context: {msg}"
-    );
-
-    // A missing file is an io::Error, not a panic.
-    assert!(persist::load_tracer(&dir.join("never_written.json")).is_err());
-
-    fs::remove_file(&path).unwrap();
-    fs::remove_file(&cpath).unwrap();
-}
-
-#[test]
 fn columnar_persistence_is_canonical() {
-    // Saving the same columnar trace twice produces byte-identical JSON,
+    // Saving the same columnar trace twice produces byte-identical logs,
     // and a save → load → save cycle is a fixed point.
+    let dir = Scratch::new("columnar_persistence_is_canonical");
     let run = wl::cm1::run(0.005, 3);
     let c = ColumnarTrace::from_tracer(&run.world.tracer);
-    let dir = std::env::temp_dir().join("vani_json_roundtrip");
-    fs::create_dir_all(&dir).unwrap();
-    let p1 = dir.join("c1.json");
-    let p2 = dir.join("c2.json");
-    persist::save_columnar(&c, &p1).unwrap();
-    let back = persist::load_columnar(&p1).unwrap();
-    persist::save_columnar(&back, &p2).unwrap();
+    let (p1, p2, p3) = (dir.path("c1.vsp3"), dir.path("c2.vsp3"), dir.path("c3.vsp3"));
+    save(&c, &p1);
+    save(&c, &p2);
     assert_eq!(fs::read(&p1).unwrap(), fs::read(&p2).unwrap());
-    fs::remove_file(&p1).unwrap();
-    fs::remove_file(&p2).unwrap();
+    let back = load(&p1);
+    save(&back, &p3);
+    assert_eq!(fs::read(&p1).unwrap(), fs::read(&p3).unwrap());
 }

@@ -1,10 +1,9 @@
-//! Seeded corruption property suite over all three persistence
-//! generations: v1 row-group JSON (`render_rowgroups`), v2 chunked JSON
-//! (`save_chunked`), and the v3 binary spill log (`spill_columnar`).
+//! Seeded corruption property suite over the on-disk trace format, the
+//! version-3 binary spill log (`spill_columnar`).
 //!
 //! Property: for ANY random truncation or bit flip of a persisted trace,
-//! every loader either returns a typed [`TraceLoadError`] / [`SpillError`]
-//! or salvages — it never panics. When a salvaging loader succeeds, its
+//! every loader either returns a typed [`SpillError`] or salvages — it
+//! never panics. When the salvaging loader succeeds, its
 //! [`TraceCompleteness`] counts exactly what was loaded, the salvaged
 //! trace never contains more records than the original, and every record
 //! it does contain is the original record at the same position (salvage
@@ -15,26 +14,30 @@
 //! the deep-verification path: the frame checksum passes, but the decode
 //! disagrees with its seal-time meta and the chunk quarantines as
 //! `Codec` — the class of damage an outer checksum alone cannot catch.
+//! The same checksum-fixing trick, applied to a log *after* it was opened,
+//! pins the rescan guard: the streaming analyzer gets a typed error, never
+//! a panic on a chunk that no longer decodes.
+//!
+//! [`TraceCompleteness`]: vani_suite::recorder::TraceCompleteness
+
+mod support;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use vani_suite::recorder::chunk::ChunkedTrace;
-use vani_suite::recorder::persist::{self, TraceLoadError};
-use vani_suite::recorder::spill::{fsck, spill_columnar, QuarantineReason, SpillFaultPlan};
+use support::Scratch;
+use vani_suite::recorder::spill::{
+    fsck, load_spill, load_spill_salvaged, spill_columnar, QuarantineReason, SpillFaultPlan,
+    SpillSource,
+};
 use vani_suite::recorder::{ColumnarTrace, Layer, OpKind, SpillError, Tracer};
 use vani_suite::rt::Rng;
-use vani_suite::sim::SimTime;
+use vani_suite::sim::{Dur, SimTime};
+use vani_suite::vani::analyzer::TraceProfile;
 
-/// Group/chunk size for all three formats: small enough that a ~900-row
-/// trace has many independently-checksummed segments to damage.
+/// Chunk size: small enough that a ~900-row trace has many
+/// independently-checksummed segments to damage.
 const GROUP_ROWS: usize = 64;
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("vani_persist_corruption");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir.join(name)
-}
 
 /// A deterministic multi-file multi-app trace with variation in every
 /// column, so damage anywhere in the encoding is observable.
@@ -90,10 +93,9 @@ fn assert_prefix(label: &str, got: &ColumnarTrace, want: &ColumnarTrace) {
 /// return — a typed error or a salvage — and salvages must be honest
 /// prefixes with consistent completeness accounting.
 fn exercise(label: &str, path: &Path, original: &ColumnarTrace) {
-    // Strict loaders: Ok or typed error, never a panic.
-    let _ = persist::load_chunked(path);
-    let _ = persist::load_columnar(path);
-    if let Ok((t, comp)) = persist::load_chunked_salvaged(path) {
+    // Strict load: Ok or typed error, never a panic.
+    let _ = load_spill(path).map(|t| t.to_columnar());
+    if let Ok((t, comp)) = load_spill_salvaged(path) {
         assert_eq!(
             comp.loaded_records,
             t.len() as u64,
@@ -108,62 +110,38 @@ fn exercise(label: &str, path: &Path, original: &ColumnarTrace) {
             .unwrap_or_else(|e| panic!("{label}: salvaged chunks must decode: {e}"));
         assert_prefix(label, &c, original);
     }
-    if let Ok((c, comp)) = persist::load_columnar_salvaged(path) {
-        assert_eq!(
-            comp.loaded_records,
-            c.len() as u64,
-            "{label}: completeness counts the salvaged records"
-        );
-        assert_prefix(label, &c, original);
-    }
 }
 
-/// Persist `c` in the given generation and return the file's bytes.
-fn persisted(gen: &str, c: &ColumnarTrace, path: &Path) -> Vec<u8> {
-    match gen {
-        "v1" => std::fs::write(path, persist::render_rowgroups(c, GROUP_ROWS)).expect("write v1"),
-        "v2" => persist::save_chunked(&ChunkedTrace::from_columnar(c, GROUP_ROWS), path)
-            .expect("write v2"),
-        "v3" => {
-            spill_columnar(c, GROUP_ROWS, path, SpillFaultPlan::none()).expect("write v3");
-        }
-        other => panic!("unknown generation {other}"),
-    }
-    std::fs::read(path).expect("read persisted bytes")
-}
-
-/// The property itself: 24 seeded truncations and 24 seeded bit flips per
-/// generation, every loader exercised on each mutant, no panics allowed.
+/// The property itself: 24 seeded truncations and 24 seeded bit flips,
+/// every loader exercised on each mutant, no panics allowed.
 #[test]
 fn random_truncations_and_bit_flips_never_panic_any_loader() {
+    let dir = Scratch::new("random_truncations_and_bit_flips_never_panic_any_loader");
     let c = sample_trace();
-    for gen in ["v1", "v2", "v3"] {
-        let clean_path = tmp(&format!("{gen}-clean.trace"));
-        let bytes = persisted(gen, &c, &clean_path);
-        // The pristine file itself round-trips completely.
-        exercise(&format!("{gen} clean"), &clean_path, &c);
+    let clean_path = dir.path("clean.vsp3");
+    spill_columnar(&c, GROUP_ROWS, &clean_path, SpillFaultPlan::none()).expect("clean spill");
+    let bytes = std::fs::read(&clean_path).expect("read spill log");
+    // The pristine file itself round-trips completely.
+    exercise("clean", &clean_path, &c);
 
-        let mut rng = Rng::new(0xc0_44u64 ^ gen.as_bytes()[1] as u64);
-        let mutant_path = tmp(&format!("{gen}-mutant.trace"));
-        for trial in 0..24 {
-            let cut = 1 + (rng.next_u64() as usize) % (bytes.len() - 1);
-            std::fs::write(&mutant_path, &bytes[..cut]).expect("write truncation");
-            let label = format!("{gen} trial {trial}: truncated to {cut}B");
-            catch_unwind(AssertUnwindSafe(|| exercise(&label, &mutant_path, &c)))
-                .unwrap_or_else(|_| panic!("{label}: a loader panicked"));
-        }
-        for trial in 0..24 {
-            let pos = (rng.next_u64() as usize) % bytes.len();
-            let bit = 1u8 << (rng.next_u64() % 8);
-            let mut flipped = bytes.clone();
-            flipped[pos] ^= bit;
-            std::fs::write(&mutant_path, &flipped).expect("write bit flip");
-            let label = format!("{gen} trial {trial}: bit {bit:#04x} flipped at {pos}");
-            catch_unwind(AssertUnwindSafe(|| exercise(&label, &mutant_path, &c)))
-                .unwrap_or_else(|_| panic!("{label}: a loader panicked"));
-        }
-        std::fs::remove_file(&clean_path).expect("cleanup");
-        std::fs::remove_file(&mutant_path).expect("cleanup");
+    let mut rng = Rng::new(0xc0_44 ^ u64::from(b'3'));
+    let mutant_path = dir.path("mutant.vsp3");
+    for trial in 0..24 {
+        let cut = 1 + (rng.next_u64() as usize) % (bytes.len() - 1);
+        std::fs::write(&mutant_path, &bytes[..cut]).expect("write truncation");
+        let label = format!("trial {trial}: truncated to {cut}B");
+        catch_unwind(AssertUnwindSafe(|| exercise(&label, &mutant_path, &c)))
+            .unwrap_or_else(|_| panic!("{label}: a loader panicked"));
+    }
+    for trial in 0..24 {
+        let pos = (rng.next_u64() as usize) % bytes.len();
+        let bit = 1u8 << (rng.next_u64() % 8);
+        let mut flipped = bytes.clone();
+        flipped[pos] ^= bit;
+        std::fs::write(&mutant_path, &flipped).expect("write bit flip");
+        let label = format!("trial {trial}: bit {bit:#04x} flipped at {pos}");
+        catch_unwind(AssertUnwindSafe(|| exercise(&label, &mutant_path, &c)))
+            .unwrap_or_else(|_| panic!("{label}: a loader panicked"));
     }
 }
 
@@ -176,22 +154,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Checksum-fixed corruption: flip a byte inside the first chunk's
-/// persisted seal-time meta (its `n_ranks` tally), then recompute the
-/// frame checksum so the outer integrity check passes. Only the deep
-/// verification pass — decode and recompute the meta from the rows —
-/// can catch it, and it must quarantine the chunk as `Codec`.
-#[test]
-fn checksum_fixed_meta_corruption_is_caught_by_deep_verification() {
-    let c = sample_trace();
-    let path = tmp("codec-mutant.vsp3");
-    spill_columnar(&c, GROUP_ROWS, &path, SpillFaultPlan::none()).expect("clean spill");
-    let mut bytes = std::fs::read(&path).expect("read spill log");
-
-    // Walk the frame stream (preamble is 11 magic bytes + chunk_rows u64)
-    // to the first CHUNK frame (kind 1).
+/// Apply `mutate` to the payload of the log's first CHUNK frame (kind 1),
+/// then re-seal the frame checksum over the mutated payload so the outer
+/// integrity check still passes.
+fn mutate_first_chunk(path: &Path, mutate: impl FnOnce(&mut [u8])) {
+    let mut bytes = std::fs::read(path).expect("read spill log");
+    // The preamble is 11 magic bytes + chunk_rows u64.
     let mut off = 19usize;
-    let (payload_start, payload_len) = loop {
+    let (start, len) = loop {
         let kind = bytes[off];
         let len =
             u64::from_le_bytes(bytes[off + 1..off + 9].try_into().expect("frame len")) as usize;
@@ -200,14 +170,28 @@ fn checksum_fixed_meta_corruption_is_caught_by_deep_verification() {
         }
         off += 9 + len + 8;
     };
+    mutate(&mut bytes[start..start + len]);
+    let sum = fnv1a(&bytes[start..start + len]);
+    bytes[start + len..start + len + 8].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(path, &bytes).expect("write mutant");
+}
+
+/// Checksum-fixed corruption: flip a byte inside the first chunk's
+/// persisted seal-time meta (its `n_ranks` tally), then recompute the
+/// frame checksum so the outer integrity check passes. Only the deep
+/// verification pass — decode and recompute the meta from the rows —
+/// can catch it, and it must quarantine the chunk as `Codec`.
+#[test]
+fn checksum_fixed_meta_corruption_is_caught_by_deep_verification() {
+    let dir = Scratch::new("checksum_fixed_meta_corruption_is_caught_by_deep_verification");
+    let c = sample_trace();
+    let path = dir.path("codec-mutant.vsp3");
+    spill_columnar(&c, GROUP_ROWS, &path, SpillFaultPlan::none()).expect("clean spill");
+
     // Payload layout: rows u64, meta_len u64, then the meta — whose own
     // layout is rows u64, 6 presence flags, n_ranks u64. Flip the low
     // byte of n_ranks: parses fine, disagrees with the rows.
-    bytes[payload_start + 30] ^= 0x01;
-    let sum = fnv1a(&bytes[payload_start..payload_start + payload_len]);
-    bytes[payload_start + payload_len..payload_start + payload_len + 8]
-        .copy_from_slice(&sum.to_le_bytes());
-    std::fs::write(&path, &bytes).expect("write mutant");
+    mutate_first_chunk(&path, |payload| payload[30] ^= 0x01);
 
     let report = fsck(&path).expect("fsck walks the mutant without failing");
     assert_eq!(report.committed_records, 0, "first chunk is quarantined");
@@ -217,12 +201,63 @@ fn checksum_fixed_meta_corruption_is_caught_by_deep_verification() {
         QuarantineReason::Codec,
         "a checksum-passing meta mismatch is codec-class damage"
     );
-    match persist::load_chunked(&path) {
-        Err(TraceLoadError::Spill(SpillError::Codec { .. })) => {}
+    match load_spill(&path) {
+        Err(SpillError::Codec { .. }) => {}
         other => panic!("strict load must fail typed Codec, got {other:?}"),
     }
-    let (salvaged, comp) = persist::load_chunked_salvaged(&path).expect("salvage still succeeds");
+    let (salvaged, comp) = load_spill_salvaged(&path).expect("salvage still succeeds");
     assert_eq!(salvaged.len(), 0, "nothing before the damaged chunk");
     assert!(!comp.is_complete());
-    std::fs::remove_file(&path).expect("cleanup");
+}
+
+/// A log rewritten after a strict open must not reach the decoder: first
+/// with the first chunk's leading column tag set to a scheme that does not
+/// exist (frame checksum re-fixed, so the frame itself still verifies),
+/// then with a different, valid log — more files, larger ids — renamed
+/// over it. Both rescans fail with a typed error.
+#[test]
+fn log_rewritten_after_open_is_a_typed_error() {
+    let dir = Scratch::new("log_rewritten_after_open_is_a_typed_error");
+    let c = sample_trace();
+    let path = dir.path("rewritten.vsp3");
+    spill_columnar(&c, GROUP_ROWS, &path, SpillFaultPlan::none()).expect("clean spill");
+    let src = SpillSource::open_strict(&path).expect("clean log opens strict");
+    let job_time = Dur::from_secs(1);
+    assert!(TraceProfile::streaming_source(&src, job_time).is_ok());
+
+    // Payload layout: rows u64, meta_len u64, the meta, ten column
+    // lengths, then the columns; the first column's first byte is its
+    // codec tag.
+    mutate_first_chunk(&path, |payload| {
+        let meta_len = u64::from_le_bytes(payload[8..16].try_into().unwrap()) as usize;
+        payload[16 + meta_len + 80] = 0xee;
+    });
+    match TraceProfile::streaming_source(&src, job_time) {
+        Err(SpillError::ChangedSinceOpen { .. }) => {}
+        other => panic!("a rewritten chunk must be a typed error, got {other:?}"),
+    }
+
+    let mut wider = Tracer::new();
+    for i in 0..(GROUP_ROWS as u64 * 3) {
+        let file = wider.file_id(&format!("/p/gpfs1/wide/{i}"));
+        let app = wider.app_id("wide");
+        wider.record(
+            i as u32,
+            0,
+            app,
+            Layer::Posix,
+            OpKind::Write,
+            SimTime(i),
+            SimTime(i + 1),
+            Some(file),
+            0,
+            4096,
+        );
+    }
+    spill_columnar(wider.columnar(), GROUP_ROWS, &path, SpillFaultPlan::none())
+        .expect("replacement spill");
+    match TraceProfile::streaming_source(&src, job_time) {
+        Err(SpillError::ChangedSinceOpen { .. }) => {}
+        other => panic!("a swapped-in log must be a typed error, got {other:?}"),
+    }
 }

@@ -1,6 +1,11 @@
 //! Integration: the full pipeline (simulate → trace → analyze) holds the
 //! paper's Table I invariants for every exemplar workload.
 
+mod support;
+
+use support::Scratch;
+use vani_suite::recorder::spill::{load_spill, spill_columnar, SpillFaultPlan};
+use vani_suite::recorder::{Tracer, DEFAULT_CHUNK_ROWS};
 use vani_suite::vani::analyzer::Analysis;
 use vani_suite::workloads as wl;
 
@@ -62,18 +67,26 @@ fn table1_shape_invariants_hold_across_all_six() {
     }
 }
 
+/// A trace saved to a spill log and loaded back is the same capture:
+/// records and intern tables equal, intern maps rebuilt, and saving the
+/// reloaded trace again writes a byte-identical log.
 #[test]
 fn trace_round_trips_through_disk_and_reanalyzes() {
+    let dir = Scratch::new("trace_round_trips_through_disk_and_reanalyzes");
     let run = wl::hacc::run(0.02, 3);
-    let dir = std::env::temp_dir().join("vani_it");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("hacc_trace.json");
-    recorder_sim::persist::save_tracer(&run.world.tracer, &path).unwrap();
-    let loaded = recorder_sim::persist::load_tracer(&path).unwrap();
+    let path = dir.path("hacc.vsp3");
+    spill_columnar(
+        run.world.tracer.columnar(),
+        DEFAULT_CHUNK_ROWS,
+        &path,
+        SpillFaultPlan::none(),
+    )
+    .unwrap();
+    let loaded = Tracer::from_columnar(load_spill(&path).unwrap().to_columnar().unwrap());
     assert_eq!(loaded.records(), run.world.tracer.records());
-    let c = recorder_sim::ColumnarTrace::from_tracer(&loaded);
+    let c = loaded.columnar();
     assert_eq!(c.len(), run.world.tracer.len());
-    std::fs::remove_file(&path).unwrap();
+    assert_eq!(c.io_ops(), run.columnar().io_ops());
 }
 
 #[test]

@@ -5,21 +5,19 @@
 //! disk; the profile must equal `TraceProfile::fused` on the same capture,
 //! cell for cell, at 1, 2, and 8 workers and across chunk sizes.
 //!
-//! Also pinned here: the persistence entry points (`load_chunked`,
-//! `load_columnar`, and their salvaging twins) transparently recognize a
-//! v3 spill log by its magic bytes, so a spill file drops into every
-//! existing reload path; and off-disk profiling keeps the resident trace
-//! footprint under the same ring bound as in-memory streaming.
+//! Also pinned here: off-disk profiling keeps the resident trace
+//! footprint under the same ring bound as in-memory streaming. That test
+//! reads the process-wide trace gauge, so no test in this binary may
+//! materialize whole traces alongside it; whole-trace disk round trips
+//! live in `spill_torture`.
 //!
 //! One worker-sweep `#[test]` on purpose: `rt::par::set_threads` is
 //! process-global, so the sweep must not interleave with itself.
 
-use std::path::PathBuf;
+mod support;
 
-use vani_suite::recorder::chunk::{
-    resident_bound, trace_gauge, ChunkedTrace, DEFAULT_CHUNK_ROWS, RING_SLOTS,
-};
-use vani_suite::recorder::persist;
+use support::Scratch;
+use vani_suite::recorder::chunk::{resident_bound, trace_gauge, DEFAULT_CHUNK_ROWS, RING_SLOTS};
 use vani_suite::recorder::spill::{spill_columnar, SpillFaultPlan, SpillSource};
 use vani_suite::recorder::ColumnarTrace;
 use vani_suite::rt::par;
@@ -28,12 +26,6 @@ use vani_suite::storage::FaultPlan;
 use vani_suite::vani::analyzer::TraceProfile;
 use vani_suite::workloads as wl;
 use vani_suite::workloads::WorkloadRun;
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("vani_spill_identity");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir.join(name)
-}
 
 /// The paper's seven exemplars: the six applications plus the IOR
 /// calibration benchmark, at fast scales.
@@ -98,6 +90,7 @@ fn faulted_seven() -> Vec<(&'static str, WorkloadRun)> {
 /// `TraceProfile::fused` on the same capture at 1, 2, and 8 workers.
 #[test]
 fn spilled_profile_matches_fused_on_all_workloads_and_worker_counts() {
+    let dir = Scratch::new("spilled_profile_matches_fused_on_all_workloads");
     let mut runs = paper_seven();
     runs.extend(faulted_seven());
     let captures: Vec<(&str, ColumnarTrace, Dur)> = runs
@@ -114,7 +107,7 @@ fn spilled_profile_matches_fused_on_all_workloads_and_worker_counts() {
     let mut sources: Vec<(usize, usize, SpillSource)> = Vec::new();
     for (i, (name, c, _)) in captures.iter().enumerate() {
         for (j, chunk_rows) in [512usize, DEFAULT_CHUNK_ROWS].into_iter().enumerate() {
-            let path = tmp(&format!("{name}-{chunk_rows}.vsp3"));
+            let path = dir.path(&format!("{name}-{chunk_rows}.vsp3"));
             spill_columnar(c, chunk_rows, &path, SpillFaultPlan::none())
                 .unwrap_or_else(|e| panic!("{name}: clean spill failed: {e}"));
             let src = SpillSource::open_strict(&path)
@@ -142,41 +135,16 @@ fn spilled_profile_matches_fused_on_all_workloads_and_worker_counts() {
     }
 }
 
-/// A v3 spill log loads through every v1/v2 persistence entry point: the
-/// loaders sniff the magic bytes and route to the spill reader, so a
-/// spilled trace round-trips exactly like a JSON one.
-#[test]
-fn spill_logs_load_through_the_persistence_entry_points() {
-    let run = wl::jag::run(0.01, 5);
-    let c = run.columnar();
-    let mem = ChunkedTrace::from_columnar(&c, DEFAULT_CHUNK_ROWS);
-    let path = tmp("persist-entry.vsp3");
-    spill_columnar(&c, DEFAULT_CHUNK_ROWS, &path, SpillFaultPlan::none()).expect("clean spill");
-
-    let chunked = persist::load_chunked(&path).expect("load_chunked reads spill logs");
-    assert_eq!(chunked, mem);
-    let (salvaged, comp) =
-        persist::load_chunked_salvaged(&path).expect("load_chunked_salvaged reads spill logs");
-    assert_eq!(salvaged, mem);
-    assert!(comp.is_complete());
-    let columnar = persist::load_columnar(&path).expect("load_columnar reads spill logs");
-    assert_eq!(columnar, c);
-    let (columnar2, comp2) =
-        persist::load_columnar_salvaged(&path).expect("load_columnar_salvaged reads spill logs");
-    assert_eq!(columnar2, c);
-    assert!(comp2.is_complete());
-    std::fs::remove_file(&path).expect("remove spill log");
-}
-
 /// Off-disk profiling holds at most the same ring as in-memory streaming:
 /// writer staging during capture and the read/decode buffers during
 /// analysis both stay under `resident_bound`.
 #[test]
 fn spill_capture_and_analysis_stay_under_the_ring_bound() {
+    let dir = Scratch::new("spill_capture_and_analysis_stay_under_the_ring_bound");
     let run = wl::hacc::run(0.02, 5);
     let c = run.columnar();
     let chunk_rows = (c.len() / 10).max(16);
-    let path = tmp("ring-bound.vsp3");
+    let path = dir.path("ring-bound.vsp3");
 
     trace_gauge().reset();
     spill_columnar(&c, chunk_rows, &path, SpillFaultPlan::none()).expect("clean spill");

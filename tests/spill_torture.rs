@@ -17,26 +17,33 @@
 //! * `CrashBeforeCommit` — chunk written, no commit marker: the chunk is
 //!   readable but quarantined (no fsync ordering covers it).
 //!
+//! A capture cut short at an arbitrary byte (the writer died mid-frame)
+//! salvages a consistent prefix whose analysis — fused and multipass
+//! agreeing — carries the YAML `trace_completeness` annotation. And the
+//! undamaged baseline: a whole trace saved to a spill log and loaded back,
+//! a crashed run's included, renders the same attribute tables and
+//! resilience attributes as the run it came from.
+//!
 //! One worker-sweep `#[test]` on purpose: `rt::par::set_threads` is
 //! process-global, so the sweep must not interleave with itself.
 
-use std::path::PathBuf;
+mod support;
 
+use std::path::{Path, PathBuf};
+
+use support::Scratch;
 use vani_suite::recorder::chunk::ChunkedTrace;
 use vani_suite::recorder::spill::{
-    fsck, spill_columnar, QuarantineReason, SpillError, SpillFaultKind, SpillFaultPlan, SpillSource,
+    fsck, load_spill, load_spill_salvaged, spill_columnar, QuarantineReason, SpillError,
+    SpillFaultKind, SpillFaultPlan, SpillSource,
 };
-use vani_suite::recorder::ColumnarTrace;
+use vani_suite::recorder::{ColumnarTrace, Tracer};
 use vani_suite::rt::par;
-use vani_suite::sim::Dur;
-use vani_suite::vani::analyzer::TraceProfile;
+use vani_suite::sim::{Dur, SimTime};
+use vani_suite::storage::FaultPlan;
+use vani_suite::vani::analyzer::{Analysis, TraceProfile};
+use vani_suite::vani::{tables, yaml};
 use vani_suite::workloads as wl;
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("vani_spill_torture");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir.join(name)
-}
 
 /// One capture shared by every fault case: a real workload trace sealed
 /// into enough chunks that prefix boundaries are interesting.
@@ -51,13 +58,14 @@ fn capture() -> (ColumnarTrace, Dur, usize) {
 /// number of chunks recovery must commit. Asserts the capture-side
 /// contract of each class (typed error vs sealed file) on the way.
 fn tortured_log(
+    dir: &Scratch,
     c: &ColumnarTrace,
     chunk_rows: usize,
     n_chunks: u64,
     kind: SpillFaultKind,
     target: u64,
 ) -> (PathBuf, u64) {
-    let path = tmp(&format!("{}-{target}.vsp3", kind.name()));
+    let path = dir.path(&format!("{}-{target}.vsp3", kind.name()));
     let plan = SpillFaultPlan::at_chunk(kind, 0x7042_0000 ^ target, target);
     match spill_columnar(c, chunk_rows, &path, plan) {
         // Latent fault: the write path never notices a bit flip.
@@ -92,6 +100,7 @@ fn tortured_log(
 /// and 8 workers.
 #[test]
 fn every_fault_class_recovers_the_longest_committed_prefix_at_all_worker_counts() {
+    let dir = Scratch::new("every_fault_class_recovers_the_longest_committed_prefix");
     let (c, rt, chunk_rows) = capture();
     let mem = ChunkedTrace::from_columnar(&c, chunk_rows);
     let n_chunks = mem.chunks.len() as u64;
@@ -115,7 +124,7 @@ fn every_fault_class_recovers_the_longest_committed_prefix_at_all_worker_counts(
     // worker count against the in-memory truncation oracle.
     let mut recovered: Vec<(String, SpillSource, ChunkedTrace)> = Vec::new();
     for &(kind, target) in &cases {
-        let (path, committed) = tortured_log(&c, chunk_rows, n_chunks, kind, target);
+        let (path, committed) = tortured_log(&dir, &c, chunk_rows, n_chunks, kind, target);
         let src = SpillSource::open_salvaged(&path)
             .unwrap_or_else(|e| panic!("{kind}@{target}: recovery must not fail: {e}"));
         assert_eq!(
@@ -170,6 +179,7 @@ fn every_fault_class_recovers_the_longest_committed_prefix_at_all_worker_counts(
 /// of them.
 #[test]
 fn fsck_diagnostics_name_the_fault_class() {
+    let dir = Scratch::new("fsck_diagnostics_name_the_fault_class");
     let (c, _, chunk_rows) = capture();
     let mem = ChunkedTrace::from_columnar(&c, chunk_rows);
     let n_chunks = mem.chunks.len() as u64;
@@ -181,7 +191,7 @@ fn fsck_diagnostics_name_the_fault_class() {
         SpillFaultKind::CrashBeforeCommit,
         SpillFaultKind::BitFlip,
     ] {
-        let (path, _) = tortured_log(&c, chunk_rows, n_chunks, kind, target);
+        let (path, _) = tortured_log(&dir, &c, chunk_rows, n_chunks, kind, target);
         let report = fsck(&path).unwrap_or_else(|e| panic!("{kind}: fsck must not fail: {e}"));
         assert!(!report.sealed, "{kind}: a tortured log never reads sealed");
         let q = report
@@ -211,8 +221,9 @@ fn fsck_diagnostics_name_the_fault_class() {
 /// temp nor the final log exists afterwards.
 #[test]
 fn enospc_is_typed_and_leaves_no_files_behind() {
+    let dir = Scratch::new("enospc_is_typed_and_leaves_no_files_behind");
     let (c, _, chunk_rows) = capture();
-    let path = tmp("enospc-case.vsp3");
+    let path = dir.path("enospc-case.vsp3");
     let plan = SpillFaultPlan::at_chunk(SpillFaultKind::Enospc, 1, 2);
     match spill_columnar(&c, chunk_rows, &path, plan) {
         Err(SpillError::Enospc { at_bytes }) => {
@@ -227,4 +238,133 @@ fn enospc_is_typed_and_leaves_no_files_behind() {
         !PathBuf::from(tmp_name).exists(),
         "the RAII guard removes the temp file"
     );
+}
+
+/// A capture whose writer died mid-frame — the log cut at two thirds of
+/// its bytes — refuses a strict load with a typed error, and salvage
+/// recovers a consistent prefix of the original records. The fused
+/// analyzer and the multipass oracle agree on the salvaged columns, and
+/// the entity YAML carries the completeness annotation.
+#[test]
+fn truncated_capture_salvages_a_consistent_prefix() {
+    let dir = Scratch::new("truncated_capture_salvages_a_consistent_prefix");
+    let run = wl::cm1::run(0.01, 11);
+    let path = dir.path("cm1-truncated.vsp3");
+    // Small chunks so the cut lands well inside the chunk stream.
+    spill_columnar(
+        run.world.tracer.columnar(),
+        64,
+        &path,
+        SpillFaultPlan::none(),
+    )
+    .expect("clean spill");
+    let bytes = std::fs::read(&path).expect("read spill log");
+    std::fs::write(&path, &bytes[..bytes.len() * 2 / 3]).expect("truncate");
+
+    // Strict loading refuses, pointing at the damage.
+    let err = load_spill(&path).expect_err("strict load must fail");
+    assert!(err.to_string().contains("byte"), "{err}");
+
+    // Salvage recovers the longest consistent prefix and says how much.
+    let (salvaged, tc) = load_spill_salvaged(&path).expect("salvage");
+    let salvaged = salvaged.to_columnar().expect("salvaged chunks decode");
+    assert!(
+        tc.loaded_records > 0,
+        "two thirds of a capture must salvage something"
+    );
+    assert!(!tc.is_complete());
+    assert!(tc.loaded_groups < tc.expected_groups);
+    assert_eq!(tc.loaded_records as usize, salvaged.len());
+    let original = run.world.tracer.columnar().to_records();
+    assert_eq!(
+        salvaged.to_records(),
+        original[..salvaged.len()],
+        "salvaged rows must be a prefix of the original capture"
+    );
+
+    // The fused analyzer and the multipass oracle agree on the salvaged
+    // columns, and the YAML carries the completeness diagnostic.
+    let mut partial = wl::cm1::run(0.01, 11);
+    partial.world.tracer = Tracer::from_columnar(salvaged);
+    let fused = Analysis::from_run(&partial);
+    let multi = Analysis::from_run_multipass(&partial);
+    assert_eq!(
+        fused, multi,
+        "fused and multipass must agree on salvaged traces"
+    );
+
+    let annotated = yaml::emit(&tables::entities_with_completeness(&fused, Some(&tc)));
+    assert!(annotated.contains("trace_completeness"), "{annotated}");
+    assert!(annotated.contains("trace_records_loaded"));
+    assert!(annotated.contains("trace_records_expected"));
+    // Without a diagnostic the emission is unchanged from the healthy path.
+    let plain = yaml::emit(&tables::entities_for(&fused));
+    assert!(!plain.contains("trace_completeness"));
+}
+
+/// Save `c` as a spill log at `path` and load the whole trace back.
+fn disk_round_trip(c: &ColumnarTrace, path: &Path) -> ColumnarTrace {
+    spill_columnar(c, 512, path, SpillFaultPlan::none()).expect("clean spill");
+    load_spill(path)
+        .expect("clean log loads strict")
+        .to_columnar()
+        .expect("loaded chunks decode")
+}
+
+/// Two identical runs (the stack is deterministic for a fixed seed), one
+/// analyzing a trace that went to a spill log and back: the rendered
+/// attribute tables are identical.
+#[test]
+fn reloaded_trace_renders_identical_attribute_tables() {
+    let dir = Scratch::new("reloaded_trace_renders_identical_attribute_tables");
+    let run_a = wl::cm1::run(0.01, 11);
+    let mut run_b = wl::cm1::run(0.01, 11);
+    let reloaded = disk_round_trip(run_a.world.tracer.columnar(), &dir.path("cm1.vsp3"));
+    run_b.world.tracer = Tracer::from_columnar(reloaded);
+
+    let a = Analysis::from_run(&run_a);
+    let b = Analysis::from_run(&run_b);
+    let cols_a = [&a];
+    let cols_b = [&b];
+    for (name, ta, tb) in [
+        ("table1", tables::table1(&cols_a), tables::table1(&cols_b)),
+        (
+            "table10",
+            tables::table10(&cols_a),
+            tables::table10(&cols_b),
+        ),
+        (
+            "table11",
+            tables::table11(&cols_a),
+            tables::table11(&cols_b),
+        ),
+    ] {
+        assert_eq!(ta.render(), tb.render(), "{name} diverged after reload");
+    }
+}
+
+/// A CM1 run killed halfway and recovered from its step checkpoints: its
+/// trace — `Crash`/`RestartEpoch`/`Checkpoint` records included — survives
+/// the disk round trip losslessly, and the reloaded analysis still carries
+/// the resilience attributes the crash left behind.
+#[test]
+fn crashed_run_trace_round_trips_with_resilience_attributes() {
+    let dir = Scratch::new("crashed_run_trace_round_trips_with_resilience_attributes");
+    let healthy = wl::cm1::run(0.01, 11);
+    let at = SimTime::from_nanos(healthy.runtime().as_nanos() / 2);
+    let mut p = wl::cm1::Cm1Params::scaled(0.01);
+    p.faults = FaultPlan::none().with_rank_crash(0, at);
+    let mut run = wl::cm1::run_with(p, 0.01, 11);
+
+    let reloaded = disk_round_trip(run.world.tracer.columnar(), &dir.path("cm1-crashed.vsp3"));
+    assert_eq!(&reloaded, run.world.tracer.columnar());
+
+    let direct = Analysis::from_run(&run);
+    run.world.tracer = Tracer::from_columnar(reloaded);
+    let roundtripped = Analysis::from_run(&run);
+    assert_eq!(direct, roundtripped);
+    assert!(direct.restart_count() > 0);
+    let y = yaml::emit(&tables::entities_for(&roundtripped));
+    assert!(y.contains("restart_count"));
+    assert!(y.contains("recovery_time"));
 }
